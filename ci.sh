@@ -20,6 +20,9 @@ done
 
 cargo build --release
 cargo test -q
+# The benchmark builds against the library's public API from its own
+# workspace: its tests fail here when an API change breaks it.
+cargo test --release --offline --manifest-path perfbench/Cargo.toml
 # The independent certificate checker's unit + mutation suite must pass
 # on its own (proof replay, model audits, corrupted-proof rejection).
 cargo test -q -p cpsrisk-asp check

@@ -36,4 +36,4 @@ pub use deps::{analyze_dependencies, ground_tight, DepAnalysis};
 pub use simplify::{simplify, simplify_with, SimplifyResult};
 pub use size::{predict_sizes, PredBound, RuleEstimate, SizePrediction, EXPLOSION_THRESHOLD};
 pub use slice::{slice_program, Slice};
-pub use wfm::{well_founded, well_founded_with, Truth, WfmResult};
+pub use wfm::{well_founded, well_founded_with, Truth, WfmBase, WfmResult};

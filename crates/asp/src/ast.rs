@@ -5,7 +5,7 @@ use std::collections::BTreeSet;
 use std::fmt;
 use std::str::FromStr;
 
-use crate::error::AspError;
+use crate::error::{ArithFault, AspError};
 
 /// Arithmetic operators usable inside terms.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
@@ -25,21 +25,21 @@ impl ArithOp {
     ///
     /// # Errors
     ///
-    /// [`AspError::BadArithmetic`] on division by zero or overflow.
+    /// [`AspError::BadArithmetic`] with [`ArithFault::DivisionByZero`] or
+    /// [`ArithFault::Overflow`].
     pub fn apply(self, a: i64, b: i64) -> Result<i64, AspError> {
         let r = match self {
             ArithOp::Add => a.checked_add(b),
             ArithOp::Sub => a.checked_sub(b),
             ArithOp::Mul => a.checked_mul(b),
-            ArithOp::Div => {
-                if b == 0 {
-                    None
-                } else {
-                    a.checked_div(b)
-                }
+            ArithOp::Div if b == 0 => {
+                return Err(AspError::BadArithmetic(ArithFault::DivisionByZero(
+                    format!("{a} {self} {b}"),
+                )))
             }
+            ArithOp::Div => a.checked_div(b),
         };
-        r.ok_or_else(|| AspError::BadArithmetic(format!("{a} {self} {b}")))
+        r.ok_or_else(|| AspError::BadArithmetic(ArithFault::Overflow(format!("{a} {self} {b}"))))
     }
 }
 
@@ -171,11 +171,12 @@ impl Term {
     /// # Errors
     ///
     /// [`AspError::BadArithmetic`] if an operator is applied to a
-    /// non-integer operand, or the term is non-ground.
+    /// non-integer operand, overflows or divides by zero, or the term is
+    /// non-ground.
     pub fn eval(&self) -> Result<Term, AspError> {
         match self {
             Term::Int(_) | Term::Const(_) | Term::Str(_) => Ok(self.clone()),
-            Term::Var(v) => Err(AspError::BadArithmetic(format!("unbound variable {v}"))),
+            Term::Var(v) => Err(AspError::BadArithmetic(ArithFault::Unbound(v.clone()))),
             Term::Func(f, args) => {
                 let args = args.iter().map(Term::eval).collect::<Result<Vec<_>, _>>()?;
                 Ok(Term::Func(f.clone(), args))
@@ -185,7 +186,9 @@ impl Term {
                 let b = b.eval()?;
                 match (&a, &b) {
                     (Term::Int(x), Term::Int(y)) => Ok(Term::Int(op.apply(*x, *y)?)),
-                    _ => Err(AspError::BadArithmetic(format!("{a} {op} {b}"))),
+                    _ => Err(AspError::BadArithmetic(ArithFault::NonInteger(format!(
+                        "{a} {op} {b}"
+                    )))),
                 }
             }
         }
@@ -721,6 +724,48 @@ impl FromStr for Program {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn checked_arithmetic_reports_overflow_and_division_by_zero() {
+        assert_eq!(ArithOp::Mul.apply(6, 7), Ok(42));
+        assert_eq!(
+            ArithOp::Mul.apply(i64::MAX, 2),
+            Err(AspError::BadArithmetic(ArithFault::Overflow(format!(
+                "{} * 2",
+                i64::MAX
+            ))))
+        );
+        assert_eq!(
+            ArithOp::Div.apply(1, 0),
+            Err(AspError::BadArithmetic(ArithFault::DivisionByZero(
+                "1 / 0".into()
+            )))
+        );
+        assert!(matches!(
+            ArithOp::Div.apply(i64::MIN, -1),
+            Err(AspError::BadArithmetic(ArithFault::Overflow(_)))
+        ));
+        let sum = Term::BinOp(
+            ArithOp::Add,
+            Box::new(Term::sym("a")),
+            Box::new(Term::Int(1)),
+        );
+        assert_eq!(
+            sum.eval(),
+            Err(AspError::BadArithmetic(ArithFault::NonInteger(
+                "a + 1".into()
+            )))
+        );
+        let unbound = Term::BinOp(
+            ArithOp::Add,
+            Box::new(Term::var("X")),
+            Box::new(Term::Int(1)),
+        );
+        assert_eq!(
+            unbound.eval().unwrap_err().to_string(),
+            "unbound variable `X` in arithmetic"
+        );
+    }
 
     #[test]
     fn term_groundness() {

@@ -14,8 +14,8 @@ pub enum AspError {
         /// Display form of the rule.
         rule: String,
     },
-    /// Arithmetic on non-integer terms during grounding.
-    BadArithmetic(String),
+    /// Grounding-time arithmetic failed; the fault says why.
+    BadArithmetic(ArithFault),
     /// Grounding exceeded the configured instance budget.
     GroundingBudget {
         /// The configured maximum number of ground rule instances.
@@ -50,7 +50,7 @@ impl fmt::Display for AspError {
             AspError::UnsafeRule { var, rule } => {
                 write!(f, "unsafe rule: variable `{var}` unbound in `{rule}`")
             }
-            AspError::BadArithmetic(t) => write!(f, "arithmetic on non-integer term `{t}`"),
+            AspError::BadArithmetic(fault) => write!(f, "{fault}"),
             AspError::GroundingBudget { limit } => {
                 write!(f, "grounding exceeded the budget of {limit} rule instances")
             }
@@ -75,3 +75,30 @@ impl fmt::Display for AspError {
 }
 
 impl std::error::Error for AspError {}
+
+/// Why grounding-time arithmetic failed.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum ArithFault {
+    /// An operator applied to a non-integer operand; the expression.
+    NonInteger(String),
+    /// The result does not fit in a 64-bit integer; the expression.
+    Overflow(String),
+    /// Integer division by zero; the expression.
+    DivisionByZero(String),
+    /// A variable without a binding where a value is needed; its name.
+    Unbound(String),
+    /// A `#minimize` weight that is not an integer; the weight term.
+    NonIntegerWeight(String),
+}
+
+impl fmt::Display for ArithFault {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            ArithFault::NonInteger(e) => write!(f, "arithmetic on non-integer term `{e}`"),
+            ArithFault::Overflow(e) => write!(f, "integer overflow in `{e}`"),
+            ArithFault::DivisionByZero(e) => write!(f, "division by zero in `{e}`"),
+            ArithFault::Unbound(v) => write!(f, "unbound variable `{v}` in arithmetic"),
+            ArithFault::NonIntegerWeight(w) => write!(f, "minimize weight `{w}` is not an integer"),
+        }
+    }
+}

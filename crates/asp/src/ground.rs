@@ -19,7 +19,7 @@ use std::collections::{BTreeMap, HashMap, HashSet};
 use std::num::NonZeroUsize;
 
 use crate::ast::{Atom, ChoiceElement, CmpOp, Head, Literal, Program, Rule, Statement, Term};
-use crate::error::AspError;
+use crate::error::{ArithFault, AspError};
 use crate::intern::{SymId, SymbolTable};
 use crate::program::{
     AtomId, CardConstraint, CardElement, GroundHead, GroundProgram, GroundRule, MinimizeLit,
@@ -379,8 +379,8 @@ impl Grounder {
                         for theta in found {
                             let w = apply(&el.weight, &theta).eval()?;
                             let Term::Int(weight) = w else {
-                                return Err(AspError::BadArithmetic(format!(
-                                    "minimize weight `{w}` is not an integer"
+                                return Err(AspError::BadArithmetic(ArithFault::NonIntegerWeight(
+                                    w.to_string(),
                                 )));
                             };
                             let tuple = el
@@ -861,17 +861,9 @@ fn unify_term(p: &Term, g: &Term, theta: &mut Subst) -> Result<bool, AspError> {
             }
             _ => Ok(false),
         },
-        Term::BinOp(..) => {
-            // Arithmetic patterns must be ground after substitution.
-            let inst = apply(p, theta);
-            if inst.is_ground() {
-                Ok(inst.eval()? == *g)
-            } else {
-                Err(AspError::BadArithmetic(format!(
-                    "arithmetic pattern `{inst}` with unbound variables"
-                )))
-            }
-        }
+        // Arithmetic patterns must be ground after substitution: evaluating
+        // one that is not reports its first unbound variable.
+        Term::BinOp(..) => Ok(apply(p, theta).eval()? == *g),
     }
 }
 

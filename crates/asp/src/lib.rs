@@ -74,13 +74,13 @@ pub mod solve;
 
 pub use analysis::{
     analyze_dependencies, ground_tight, predict_sizes, simplify, simplify_with, slice_program,
-    well_founded, well_founded_with, SimplifyResult, WfmResult,
+    well_founded, well_founded_with, SimplifyResult, WfmBase, WfmResult,
 };
 pub use ast::{Atom, ChoiceElement, Head, Literal, Program, Rule, Statement, Term};
 pub use builder::ProgramBuilder;
 pub use check::{check_proof, CheckError, CheckReport};
 pub use diag::{Diagnostic, Severity, Span};
-pub use error::AspError;
+pub use error::{ArithFault, AspError};
 pub use ground::{ExtendStats, GroundSession, Grounder};
 pub use parser::{parse_program_spanned, SpannedProgram};
 pub use program::{AtomId, GroundProgram};

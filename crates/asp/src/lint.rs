@@ -1,4 +1,4 @@
-//! Static analysis of ASP programs: span-carrying lints `A000`–`A014`.
+//! Static analysis of ASP programs: span-carrying lints `A000`–`A015`.
 //!
 //! The pass runs over a [`SpannedProgram`] (parsed leniently, so unsafe
 //! rules survive into the AST) plus the predicate dependency graph, and
@@ -21,6 +21,7 @@
 //! | A012 | warning  | constraint statically violated: the [well-founded model](crate::analysis::wfm) already satisfies its body, so no answer set exists |
 //! | A013 | info     | choice predicate statically irrelevant: toggling it cannot change any shown atom, constraint, or objective |
 //! | A014 | warning  | predicate constrained but never derivable: every ground instance is false in the well-founded model |
+//! | A015 | error    | grounding fails on arithmetic: overflow, division by zero, a non-integer operand or an unbound variable |
 //!
 //! A program is *lint-clean* when it produces no errors and no warnings;
 //! info-level findings are advisory.
@@ -65,7 +66,7 @@ pub fn lint_program(sp: &SpannedProgram) -> Vec<Diagnostic> {
     let prediction = predict_sizes(&sp.program);
     let never_derivable = grounding_size_lints(sp, &facts, &prediction, &mut diags); // A009, A010
     non_tight_loops(sp, &mut diags); // A011
-    wfm_lints(sp, &facts, &prediction, &never_derivable, &mut diags); // A012-A014
+    wfm_lints(sp, &facts, &prediction, &never_derivable, &mut diags); // A012-A015
     diags.sort_by_key(|d| {
         (
             d.span
@@ -466,8 +467,9 @@ const WFM_LINT_MAX_CHOICE_ATOMS: usize = 256;
 /// derivable instance).
 ///
 /// These are the only lints that ground the program, so the size
-/// prediction gates them; grounding failures skip the pass silently (an
-/// unsafe rule is already reported as A003).
+/// prediction gates them. A grounding failure on arithmetic is reported
+/// as A015; any other skips the pass silently (an unsafe rule is already
+/// reported as A003).
 fn wfm_lints(
     sp: &SpannedProgram,
     facts: &PredFacts,
@@ -478,8 +480,13 @@ fn wfm_lints(
     if prediction.total > WFM_LINT_BUDGET {
         return;
     }
-    let Ok(g) = Grounder::new().ground(&sp.program) else {
-        return;
+    let g = match Grounder::new().ground(&sp.program) {
+        Ok(g) => g,
+        Err(e @ AspError::BadArithmetic(_)) => {
+            diags.push(Diagnostic::error("A015", format!("grounding fails: {e}")));
+            return;
+        }
+        Err(_) => return,
     };
     let wfm = well_founded(&g);
     statically_violated_constraints(sp, &g, &wfm, diags); // A012
@@ -1163,6 +1170,25 @@ mod tests {
         );
         // A derivable constrained predicate stays silent.
         assert!(!codes("f. danger :- f. :- danger, f.").contains(&"A014".to_owned()));
+    }
+
+    #[test]
+    fn arithmetic_grounding_failures_say_why() {
+        for (src, message) in [
+            (
+                "n(4294967296). sq(X*X) :- n(X).",
+                "grounding fails: integer overflow in `4294967296 * 4294967296`",
+            ),
+            ("p(1/0).", "grounding fails: division by zero in `1 / 0`"),
+            (
+                "n(a). m(X+1) :- n(X).",
+                "grounding fails: arithmetic on non-integer term `a + 1`",
+            ),
+        ] {
+            let d = only(src, "A015");
+            assert_eq!(d.severity, crate::diag::Severity::Error, "{src}");
+            assert_eq!(d.message, message, "{src}");
+        }
     }
 
     #[test]

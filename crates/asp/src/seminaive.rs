@@ -29,7 +29,7 @@
 use std::collections::{BTreeMap, HashMap, HashSet};
 
 use crate::ast::{ArithOp, Atom, CmpOp, Head, Literal, Program, Rule, Statement, Term};
-use crate::error::AspError;
+use crate::error::{ArithFault, AspError};
 use crate::intern::{SymId, SymbolTable};
 use crate::program::{
     AtomId, CardConstraint, CardElement, GroundHead, GroundProgram, GroundRule, MinimizeLit,
@@ -434,7 +434,7 @@ fn eval_pat(p: &Pat, frame: &Frame, names: &[String]) -> Result<Term, AspError> 
     match p {
         Pat::Ground(t) => Ok(t.clone()),
         Pat::Var(s) => frame.slots[*s as usize].clone().ok_or_else(|| {
-            AspError::BadArithmetic(format!("unbound variable {}", names[*s as usize]))
+            AspError::BadArithmetic(ArithFault::Unbound(names[*s as usize].clone()))
         }),
         Pat::Func(f, args) => Ok(Term::Func(
             f.clone(),
@@ -447,7 +447,9 @@ fn eval_pat(p: &Pat, frame: &Frame, names: &[String]) -> Result<Term, AspError> 
             let b = eval_pat(b, frame, names)?;
             match (&a, &b) {
                 (Term::Int(x), Term::Int(y)) => Ok(Term::Int(op.apply(*x, *y)?)),
-                _ => Err(AspError::BadArithmetic(format!("{a} {op} {b}"))),
+                _ => Err(AspError::BadArithmetic(ArithFault::NonInteger(format!(
+                    "{a} {op} {b}"
+                )))),
             }
         }
     }
@@ -1639,8 +1641,8 @@ impl Session {
                     };
                     let w = eval_pat(&el.weight, &f, &el.names)?;
                     let Term::Int(weight) = w else {
-                        return Err(AspError::BadArithmetic(format!(
-                            "minimize weight `{w}` is not an integer"
+                        return Err(AspError::BadArithmetic(ArithFault::NonIntegerWeight(
+                            w.to_string(),
                         )));
                     };
                     let tuple = el

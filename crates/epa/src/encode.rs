@@ -418,32 +418,47 @@ pub(crate) fn outcome_from_model(
     scenario: Scenario,
     model: &cpsrisk_asp::Model,
 ) -> ScenarioOutcome {
-    outcome_from_atoms(scenario, model.atoms.iter())
+    outcome_from_atoms(scenario, model.atoms.iter().filter_map(outcome_atom))
 }
 
-/// Build a [`ScenarioOutcome`] from any stream of true atoms — shared by
-/// the model-based form above and the static (well-founded) verdict path
-/// in [`IncrementalAnalysis`](crate::incremental::IncrementalAnalysis),
-/// which reads atoms off a ground program instead of a solved model.
-pub(crate) fn outcome_from_atoms<'a>(
+/// What one true atom contributes to a [`ScenarioOutcome`].
+#[derive(Debug, Clone)]
+pub(crate) enum OutcomeAtom {
+    /// `affected(C, M)`: the `(component, mode)` pair is effective.
+    Affected(String, String),
+    /// `violated(R)`: requirement `R` is violated.
+    Violated(String),
+}
+
+/// Decode an outcome-bearing atom (`affected/2`, `violated/1`); every
+/// other atom decodes to `None`.
+pub(crate) fn outcome_atom(a: &cpsrisk_asp::Atom) -> Option<OutcomeAtom> {
+    match (a.pred.as_str(), a.args.as_slice()) {
+        ("affected", [c, m, ..]) => Some(OutcomeAtom::Affected(c.to_string(), m.to_string())),
+        ("violated", [r, ..]) => Some(OutcomeAtom::Violated(r.to_string())),
+        _ => None,
+    }
+}
+
+/// Build a [`ScenarioOutcome`] from any stream of decoded true atoms —
+/// shared by the model-based form above and the static (well-founded)
+/// verdict path in
+/// [`IncrementalAnalysis`](crate::incremental::IncrementalAnalysis), which
+/// decodes its outcome atoms once and reads their truth per query.
+pub(crate) fn outcome_from_atoms(
     scenario: Scenario,
-    atoms: impl Iterator<Item = &'a cpsrisk_asp::Atom>,
+    atoms: impl Iterator<Item = OutcomeAtom>,
 ) -> ScenarioOutcome {
     let mut effective_modes: BTreeSet<(String, String)> = BTreeSet::new();
     let mut violated: BTreeSet<String> = BTreeSet::new();
     for a in atoms {
-        match a.pred.as_str() {
-            "affected" => {
-                if let (Some(c), Some(m)) = (a.args.first(), a.args.get(1)) {
-                    effective_modes.insert((c.to_string(), m.to_string()));
-                }
+        match a {
+            OutcomeAtom::Affected(c, m) => {
+                effective_modes.insert((c, m));
             }
-            "violated" => {
-                if let Some(r) = a.args.first() {
-                    violated.insert(r.to_string());
-                }
+            OutcomeAtom::Violated(r) => {
+                violated.insert(r);
             }
-            _ => {}
         }
     }
     ScenarioOutcome {

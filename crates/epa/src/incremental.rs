@@ -12,16 +12,20 @@
 //! its learned conflict nogoods from call to call.
 
 use cpsrisk_asp::ast::Term;
-use cpsrisk_asp::{check_proof, AspError, GroundProgram, Grounder, Lit, SolveOptions, Solver};
+use cpsrisk_asp::{
+    check_proof, AspError, AtomId, GroundProgram, Grounder, Lit, SolveOptions, Solver, WfmBase,
+};
 
-use crate::encode::{encode, outcome_from_atoms, outcome_from_model, EncodeMode};
+use crate::encode::{
+    encode, outcome_atom, outcome_from_atoms, outcome_from_model, EncodeMode, OutcomeAtom,
+};
 use crate::error::EpaError;
 use crate::parallel::SweepStats;
 use crate::parallel::{run_static_with, run_stealing_stream, run_stealing_with, SweepOptions};
 use crate::problem::EpaProblem;
 use crate::scenario::{Scenario, ScenarioOutcome};
 use crate::sensitivity::Decision;
-use std::collections::BTreeSet;
+use std::collections::HashMap;
 
 /// What [`IncrementalAnalysis::sweep_certified`] verified.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -41,15 +45,38 @@ pub struct CertifySummary {
 /// [`sweep`](Self::sweep) then answer each scenario at the propositional
 /// level by fixing the assumable atoms (`scenario_fault/1`,
 /// `fault_enabled/1`, `active_mitigation/2`) at decision level 0.
+///
+/// The well-founded model under the nominal scenario's assumptions stays
+/// resident ([`WfmBase`]), so a static verdict re-derives only the forward
+/// cone of the few toggles a query flips.
 pub struct IncrementalAnalysis {
-    ground: GroundProgram,
-    /// Mitigations active in the problem the analysis was built from —
-    /// the baseline polarity of the `active_mitigation/2` assumptions.
-    baseline_active: BTreeSet<String>,
+    /// The shared ground program and its nominal well-founded model.
+    wfm: WfmBase,
+    /// The nominal scenario's assumption vector: one literal per assumable
+    /// atom, in [`GroundProgram::assumable`] order.
+    nominal: Vec<Lit>,
+    /// Positions in that vector of each toggle's assumable atoms.
+    toggles: Toggles,
+    /// The program's outcome-bearing atoms, decoded once.
+    outcome_atoms: Vec<(AtomId, OutcomeAtom)>,
+}
+
+/// Where each toggle's assumable atoms sit in the assumption vector, by the
+/// fault or mitigation id they carry.
+#[derive(Default)]
+struct Toggles {
+    /// `scenario_fault(F)`: true iff the scenario activates `F`.
+    scenario_fault: HashMap<String, Vec<usize>>,
+    /// `fault_enabled(F)`: true unless the decision drops mutation `F`.
+    fault_enabled: HashMap<String, Vec<usize>>,
+    /// `active_mitigation(_, M)`: the baseline activation of `M`, inverted
+    /// when the decision toggles it.
+    mitigation: HashMap<String, Vec<usize>>,
 }
 
 impl IncrementalAnalysis {
-    /// Encode and ground `problem` under [`EncodeMode::Assumable`].
+    /// Encode and ground `problem` under [`EncodeMode::Assumable`], then
+    /// compute the well-founded model under the nominal scenario.
     ///
     /// # Errors
     ///
@@ -64,16 +91,45 @@ impl IncrementalAnalysis {
             .assumable("active_mitigation", 2)
             .with_slicing(true)
             .ground(&program)?;
+        let mut nominal = Vec::with_capacity(ground.assumable.len());
+        let mut toggles = Toggles::default();
+        for (i, &id) in ground.assumable.iter().enumerate() {
+            let atom = ground.atom(id);
+            let (slots, positive) = match (atom.pred.as_str(), atom.args.as_slice()) {
+                ("scenario_fault", [Term::Const(f)]) => {
+                    (toggles.scenario_fault.entry(f.clone()).or_default(), false)
+                }
+                ("fault_enabled", [Term::Const(f)]) => {
+                    (toggles.fault_enabled.entry(f.clone()).or_default(), true)
+                }
+                ("active_mitigation", [_, Term::Const(m)]) => (
+                    toggles.mitigation.entry(m.clone()).or_default(),
+                    problem.active_mitigations.contains(m),
+                ),
+                _ => {
+                    nominal.push(Lit::neg(id));
+                    continue;
+                }
+            };
+            slots.push(i);
+            nominal.push(Lit { atom: id, positive });
+        }
+        let outcome_atoms = ground
+            .atoms()
+            .filter_map(|(id, a)| Some((id, outcome_atom(a)?)))
+            .collect();
         Ok(IncrementalAnalysis {
-            ground,
-            baseline_active: problem.active_mitigations.clone(),
+            wfm: WfmBase::new(ground, &nominal),
+            nominal,
+            toggles,
+            outcome_atoms,
         })
     }
 
     /// The shared ground program.
     #[must_use]
     pub fn ground(&self) -> &GroundProgram {
-        &self.ground
+        self.wfm.program()
     }
 
     /// A fresh solver over the shared ground program. The instance is
@@ -81,7 +137,7 @@ impl IncrementalAnalysis {
     /// and keeps its learned conflict nogoods.
     #[must_use]
     pub fn solver(&self) -> Solver<'_> {
-        Solver::new(&self.ground)
+        Solver::new(self.ground())
     }
 
     /// The assumption set selecting `scenario` under the baseline problem:
@@ -99,23 +155,19 @@ impl IncrementalAnalysis {
     /// assumptions — the same ground program answers every variant.
     #[must_use]
     pub fn assumptions_for(&self, scenario: &Scenario, decision: Option<&Decision>) -> Vec<Lit> {
-        let (dropped, toggled) = match decision {
-            None => (None, None),
-            Some(Decision::DropMutation(f)) => (Some(f.as_str()), None),
-            Some(Decision::ToggleMitigation(m)) => (None, Some(m.as_str())),
+        let mut lits = self.nominal.clone();
+        let mut set = |slots: Option<&Vec<usize>>, flip: fn(bool) -> bool| {
+            for &i in slots.into_iter().flatten() {
+                lits[i].positive = flip(lits[i].positive);
+            }
         };
-        let mut lits = Vec::with_capacity(self.ground.assumable.len());
-        for &id in &self.ground.assumable {
-            let atom = self.ground.atom(id);
-            let positive = match (atom.pred.as_str(), atom.args.as_slice()) {
-                ("scenario_fault", [Term::Const(f)]) => scenario.contains(f),
-                ("fault_enabled", [Term::Const(f)]) => dropped != Some(f.as_str()),
-                ("active_mitigation", [_, Term::Const(m)]) => {
-                    self.baseline_active.contains(m) != (toggled == Some(m.as_str()))
-                }
-                _ => false,
-            };
-            lits.push(Lit { atom: id, positive });
+        for f in scenario.iter() {
+            set(self.toggles.scenario_fault.get(f), |_| true);
+        }
+        match decision {
+            None => {}
+            Some(Decision::DropMutation(f)) => set(self.toggles.fault_enabled.get(f), |_| false),
+            Some(Decision::ToggleMitigation(m)) => set(self.toggles.mitigation.get(m), |p| !p),
         }
         lits
     }
@@ -154,20 +206,26 @@ impl IncrementalAnalysis {
 
     /// [`decide_statically`](Self::decide_statically) under an explicit
     /// assumption set (e.g. from
-    /// [`assumptions_for`](Self::assumptions_for)).
+    /// [`assumptions_for`](Self::assumptions_for)), answered through the
+    /// resident nominal model: only the forward cone of the toggles that
+    /// differ from the nominal scenario is re-derived, and only the
+    /// outcome-bearing atoms are read.
     #[must_use]
     pub fn static_outcome(
         &self,
         scenario: &Scenario,
         assumptions: &[Lit],
     ) -> Option<ScenarioOutcome> {
-        let wfm = cpsrisk_asp::well_founded_with(&self.ground, assumptions);
+        let wfm = self.wfm.query(assumptions);
         if wfm.inconsistent || !wfm.total() {
             return None;
         }
         Some(outcome_from_atoms(
             scenario.clone(),
-            wfm.true_atoms().map(|id| self.ground.atom(id)),
+            self.outcome_atoms
+                .iter()
+                .filter(|(id, _)| wfm.is_true(*id))
+                .map(|(_, a)| a.clone()),
         ))
     }
 
@@ -319,7 +377,7 @@ impl IncrementalAnalysis {
                     "certified calls emitted no proof".into(),
                 ))
             })?;
-            let report = check_proof(&self.ground, &log).map_err(|e| {
+            let report = check_proof(self.ground(), &log).map_err(|e| {
                 EpaError::Asp(AspError::Internal(format!("certificate rejected: {e}")))
             })?;
             summary.proof_steps = report.steps;
@@ -380,7 +438,7 @@ mod tests {
     use super::*;
     use crate::encode::analyze_fixed_fresh;
     use crate::scenario::ScenarioSpace;
-    use crate::workload::chain_problem;
+    use crate::workload::{catalog_problem, chain_problem};
 
     #[test]
     fn every_assumable_atom_is_pinned_per_query() {
@@ -434,6 +492,131 @@ mod tests {
         // decides every scenario of this choice-free-after-assumption
         // workload without search.
         assert!(decided > 0, "no scenario was statically decided");
+    }
+
+    /// The from-scratch conditional-WFM outcome: the oracle of the
+    /// resident-base path.
+    fn scratch_outcome(
+        analysis: &IncrementalAnalysis,
+        scenario: &Scenario,
+        assumptions: &[Lit],
+    ) -> Option<ScenarioOutcome> {
+        let g = analysis.ground();
+        let wfm = cpsrisk_asp::well_founded_with(g, assumptions);
+        if wfm.inconsistent || !wfm.total() {
+            return None;
+        }
+        Some(outcome_from_atoms(
+            scenario.clone(),
+            wfm.true_atoms().filter_map(|id| outcome_atom(g.atom(id))),
+        ))
+    }
+
+    /// The assumption vector by string-matching every assumable atom: the
+    /// reference the toggle table must reproduce atom for atom.
+    fn reference_assumptions(
+        analysis: &IncrementalAnalysis,
+        problem: &EpaProblem,
+        scenario: &Scenario,
+        decision: Option<&Decision>,
+    ) -> Vec<Lit> {
+        let (dropped, toggled) = match decision {
+            None => (None, None),
+            Some(Decision::DropMutation(f)) => (Some(f.as_str()), None),
+            Some(Decision::ToggleMitigation(m)) => (None, Some(m.as_str())),
+        };
+        let g = analysis.ground();
+        g.assumable
+            .iter()
+            .map(|&id| {
+                let atom = g.atom(id);
+                let positive = match (atom.pred.as_str(), atom.args.as_slice()) {
+                    ("scenario_fault", [Term::Const(f)]) => scenario.contains(f),
+                    ("fault_enabled", [Term::Const(f)]) => dropped != Some(f.as_str()),
+                    ("active_mitigation", [_, Term::Const(m)]) => {
+                        problem.active_mitigations.contains(m) != (toggled == Some(m.as_str()))
+                    }
+                    _ => false,
+                };
+                Lit { atom: id, positive }
+            })
+            .collect()
+    }
+
+    /// `static_outcome` equals the from-scratch conditional-WFM outcome
+    /// and the search path on every query; returns how many it decided.
+    fn assert_static_matches(
+        analysis: &IncrementalAnalysis,
+        solver: &mut Solver<'_>,
+        scenario: &Scenario,
+        decision: Option<&Decision>,
+    ) -> usize {
+        let lits = analysis.assumptions_for(scenario, decision);
+        let fast = analysis.static_outcome(scenario, &lits);
+        assert_eq!(
+            fast,
+            scratch_outcome(analysis, scenario, &lits),
+            "scenario {scenario}, decision {decision:?}"
+        );
+        let Some(fast) = fast else { return 0 };
+        let searched = analysis.outcome_under(solver, scenario, &lits).unwrap();
+        assert_eq!(fast, searched, "scenario {scenario}, decision {decision:?}");
+        1
+    }
+
+    #[test]
+    fn assumptions_and_static_outcomes_match_their_references_under_every_decision() {
+        let p = chain_problem(2);
+        let analysis = IncrementalAnalysis::new(&p).unwrap();
+        let mut solver = analysis.solver();
+        let decisions: Vec<Option<Decision>> = std::iter::once(None)
+            .chain(
+                p.mutations
+                    .iter()
+                    .map(|m| Some(Decision::DropMutation(m.id.clone()))),
+            )
+            .chain(
+                p.mitigations
+                    .iter()
+                    .map(|m| Some(Decision::ToggleMitigation(m.id.clone()))),
+            )
+            .collect();
+        assert!(decisions.len() > 2, "mutations and mitigations to flip");
+        let mut decided = 0;
+        let mut queries = 0;
+        for scenario in ScenarioSpace::new(&p, usize::MAX).iter() {
+            for decision in &decisions {
+                let decision = decision.as_ref();
+                assert_eq!(
+                    analysis.assumptions_for(&scenario, decision),
+                    reference_assumptions(&analysis, &p, &scenario, decision),
+                    "scenario {scenario}, decision {decision:?}"
+                );
+                decided += assert_static_matches(&analysis, &mut solver, &scenario, decision);
+                queries += 1;
+            }
+        }
+        assert_eq!(decided, queries, "every pinned query is decided statically");
+    }
+
+    #[test]
+    fn static_outcomes_match_scratch_and_search_on_a_catalog_plant() {
+        let p = catalog_problem(36, 4, 2);
+        let analysis = IncrementalAnalysis::new(&p).unwrap();
+        let mut solver = analysis.solver();
+        let mut decided = 0;
+        let mut queries = 0;
+        for scenario in ScenarioSpace::new(&p, 2).iter() {
+            assert_eq!(
+                analysis.assumptions(&scenario),
+                reference_assumptions(&analysis, &p, &scenario, None),
+                "scenario {scenario}"
+            );
+            decided += assert_static_matches(&analysis, &mut solver, &scenario, None);
+            queries += 1;
+        }
+        assert!(queries > 100, "only {queries} scenarios");
+        assert_eq!(decided, queries, "every pinned query is decided statically");
     }
 
     #[test]

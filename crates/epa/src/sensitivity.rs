@@ -118,7 +118,8 @@ pub fn sensitivity_sweep_parallel(
 /// is just a different assumption set — no per-variant re-encoding,
 /// re-grounding, or problem cloning. Each work item (the baseline plus one
 /// per decision) runs on a worker that reuses a single solver across the
-/// whole scenario list. The findings are identical to the topology-based
+/// whole scenario list; queries the conditional well-founded model decides
+/// skip the solver. The findings are identical to the topology-based
 /// sweep; the two are cross-checked in tests.
 ///
 /// # Errors
@@ -144,7 +145,10 @@ pub fn sensitivity_sweep_incremental(
             let mut out = BTreeMap::new();
             for s in &scenarios {
                 let lits = analysis.assumptions_for(s, decision.as_ref());
-                let outcome = analysis.outcome_under(solver, s, &lits)?;
+                let outcome = match analysis.static_outcome(s, &lits) {
+                    Some(outcome) => outcome,
+                    None => analysis.outcome_under(solver, s, &lits)?,
+                };
                 for r in &problem.requirements {
                     out.insert((s.clone(), r.id.clone()), outcome.violated.contains(&r.id));
                 }
